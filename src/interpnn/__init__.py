@@ -48,6 +48,7 @@ from .evaluation import (
     ExperimentResult,
     ExperimentSpec,
     KPolicy,
+    NeighborBlock,
     corrupt,
     default_k_grid,
     disagreement_rate,

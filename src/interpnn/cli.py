@@ -30,12 +30,14 @@ from .core import (
     ParseError,
     QuadratureFailure,
     UnknownLabel,
+    theory_advisory,
 )
+from .estimator import fit, predict_regression_batch
 from .evaluation import (
     CorruptionKind,
     ExperimentSpec,
     KPolicy,
-    _Machine,
+    NeighborBlock,
     run_attack_experiment,
     run_ratio_experiment,
 )
@@ -315,9 +317,18 @@ def _build_spec(cfg: dict) -> ExperimentSpec:
         raise ConfigError(str(e)) from None
 
 
+def _print_advisories(fracs, d: int):
+    """One line on stderr for each gamma at or past the theory's range."""
+    for f in fracs:
+        msg = theory_advisory(f * d, d)
+        if msg is not None:
+            print(f"advisory: {msg}", file=sys.stderr)
+
+
 def cmd_simulate(cfg: dict) -> int:
     out = _outdir(cfg)
     spec = _build_spec(cfg)
+    _print_advisories(spec.gamma_over_d, spec.model.d)
     result = run_ratio_experiment(spec, threads=cfg["threads"])
     rows = [
         (
@@ -360,8 +371,6 @@ _TOY_SCHEMES = ("uniform", "one_minus_log", "power")
 def cmd_toy(cfg: dict) -> int:
     """Fit the three weight schemes on the three fixed-design toy models and
     tabulate the fitted curves over the boundary-free interior."""
-    from .estimator import fit, predict_regression_batch
-
     out = _outdir(cfg)
     k = cfg["k"]
     x_eval = np.arange(0.0, 20.0 + 1e-9, 0.25)
@@ -394,6 +403,7 @@ def cmd_toy(cfg: dict) -> int:
 def cmd_attack(cfg: dict) -> int:
     out = _outdir(cfg)
     spec = _build_spec({**cfg, "criterion": "regret"})
+    _print_advisories(spec.gamma_over_d, spec.model.d)
     try:
         kinds = tuple(KINDS[k] for k in cfg["kinds"])
     except KeyError as e:
@@ -461,6 +471,7 @@ def cmd_real(cfg: dict) -> int:
     fracs = tuple(sorted(set((0.0,) + tuple(cfg["gamma_over_d"]))))
     d = data.d
     gammas = [f * d for f in fracs]
+    _print_advisories(fracs, d)
     split_seeds = [cfg["seed"] + r for r in range(cfg["repeats"])]
     metric = Metric(cfg["metric_p"])
 
@@ -474,11 +485,11 @@ def cmd_real(cfg: dict) -> int:
         grid = tuple(k for k in k_grid if k < train.n)
         if not grid:
             raise EmptyGrid(f"no k in k_grid is < n_train = {train.n}")
-        machine = _Machine(train, metric, grid[-1])
-        block = machine.block(test.points)
-        y_test = test.responses
+        est = fit(train, EstimatorConfig(k=grid[-1], metric=metric))
+        block = NeighborBlock.query(est.index, test.points, grid[-1])
+        y_test = test.responses == 1.0
         for gi, g in enumerate(gammas):
-            errs = [float(np.mean((machine.scores(block, k, g) > 0.5) != (y_test == 1.0))) for k in grid]
+            errs = [float(np.mean((scores > 0.5) != y_test)) for scores in block.scores(grid, g)]
             best = int(np.argmin(errs))
             errors[r, gi] = errs[best]
             best_ks[r, gi] = grid[best]
@@ -547,8 +558,10 @@ def _main(argv) -> int:
         if hasattr(args, k) and getattr(args, k) is not None
     }
     cfg = resolve_config(args.command, file_cfg, overrides)
-    if args.paper_scale and "repetitions" in cfg:
-        cfg["repetitions"] = 500
+    if args.paper_scale:
+        for key in ("repetitions", "repeats"):
+            if key in cfg:
+                cfg[key] = 500
     return COMMANDS[args.command](cfg)
 
 

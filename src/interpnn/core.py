@@ -164,6 +164,14 @@ class EstimatorConfig:
     advisory: Optional[str] = None
 
 
+def theory_advisory(gamma: float, d: int) -> Optional[str]:
+    """The non-fatal advisory for gamma >= d/3, or None below it."""
+    boundary = d / 3.0
+    if gamma >= boundary:
+        return f"gamma = {gamma:g} >= d/3 = {boundary:g}: outside the range covered by the asymptotic theory"
+    return None
+
+
 def validate_config(config: EstimatorConfig, dataset: Dataset) -> EstimatorConfig:
     """Check config invariants against a dataset.
 
@@ -184,12 +192,8 @@ def validate_config(config: EstimatorConfig, dataset: Dataset) -> EstimatorConfi
     if not (config.metric.p >= 1.0):
         raise BadMetric(f"p must satisfy p >= 1, got {config.metric.p}")
 
-    boundary = dataset.d / 3.0
-    if config.gamma >= boundary:
-        msg = (
-            f"gamma = {config.gamma:g} >= d/3 = {boundary:g}: outside the "
-            f"range covered by the asymptotic theory"
-        )
+    msg = theory_advisory(config.gamma, dataset.d)
+    if msg is not None:
         if config.advisory == msg:
             return config
         from dataclasses import replace

@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import Dataset, EstimatorConfig, Task, TaskMismatch, validate_config
 from .neighbors import NeighborIndex, build_index, query, query_batch
-from .weighting import WeightScheme, compute_weights, compute_weights_batch, power_scheme
+from .weighting import WeightScheme, compute_weights, compute_weights_batch, power_scheme, power_scores
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,14 @@ def predict_class(est: FittedEstimator, x) -> tuple[int, float]:
 
 
 def score_batch(est: FittedEstimator, X) -> np.ndarray:
-    """Raw weighted scores for an (m, d) query matrix."""
+    """Raw weighted scores for an (m, d) query matrix. The power and uniform
+    schemes are the single-k case of power_scores."""
+    scheme = est.scheme
     idx, dist, rk1 = query_batch(est.index, X, est.config.k)
-    w = compute_weights_batch(dist, rk1, est.scheme)
-    return np.sum(w * est.dataset.responses[idx], axis=1)
+    if scheme.kind == "general":
+        w = compute_weights_batch(dist, rk1, scheme)
+        return np.sum(w * est.dataset.responses[idx], axis=1)
+    return power_scores(dist, est.dataset.responses[idx], (est.config.k,), scheme.gamma)[0]
 
 
 def predict_regression_batch(est: FittedEstimator, X) -> np.ndarray:

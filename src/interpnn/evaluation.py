@@ -23,7 +23,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    Dataset,
     EmptyGrid,
     EstimatorConfig,
     KTooLarge,
@@ -39,10 +38,12 @@ from .estimator import (
     predict_regression_batch,
     score_batch,
 )
-from .neighbors import build_index, query_batch
+from .neighbors import NeighborIndex, build_index, query_batch
 from .synthetic import SyntheticModel
 from .theory import cis_ratio_optimal_k, cis_ratio_same_k, pr_optimal_k, pr_same_k
-from .weighting import compute_weights_batch, power_scheme
+# compute_weights_batch is unused here but stays importable: perfbench/spans.py
+# wraps it at this import site for its traced runs.
+from .weighting import compute_weights_batch, power_scores  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -127,27 +128,30 @@ def _normalize_grid(k_grid, n_train: int) -> tuple[int, ...]:
     return grid
 
 
-class _Machine:
-    """A training set, its index, and cached kmax-neighbor query blocks, so
-    one spatial query serves every (k, gamma) combination evaluated on the
-    same test matrix."""
+@dataclass(frozen=True)
+class NeighborBlock:
+    """The kmax nearest neighbours of every row of one query matrix: their
+    ascending distances and their training responses, both (m, kmax). One
+    spatial query then serves every (k, gamma) scored on that matrix."""
 
-    def __init__(self, train: Dataset, metric: Metric, kmax: int):
-        self.train = train
-        self.kmax = kmax
-        self.index = build_index(train, metric)
+    distances: np.ndarray
+    responses: np.ndarray
 
-    def block(self, X: np.ndarray):
-        return query_batch(self.index, X, self.kmax)
+    @classmethod
+    def query(cls, index: NeighborIndex, X: np.ndarray, kmax: int) -> "NeighborBlock":
+        """The block of the (m, d) query matrix X against index's training set."""
+        idx, dist, _ = query_batch(index, X, kmax)
+        return cls(distances=dist, responses=index.dataset.responses[idx])
 
-    def scores(self, block, k: int, gamma: float) -> np.ndarray:
-        idx, dist, rk = block
-        if k < self.kmax:
-            idx, dist, rk = idx[:, :k], dist[:, :k], dist[:, k]
-        elif k > self.kmax:
-            raise KTooLarge(f"k = {k} exceeds the cached block size {self.kmax}")
-        w = compute_weights_batch(dist, rk, power_scheme(gamma))
-        return np.sum(w * self.train.responses[idx], axis=1)
+    @property
+    def kmax(self) -> int:
+        return self.distances.shape[1]
+
+    def scores(self, ks, gamma: float) -> np.ndarray:
+        """(len(ks), m) power-scheme scores, row j at k = ks[j]."""
+        if min(ks) < 1 or max(ks) > self.kmax:
+            raise KTooLarge(f"every k must lie in 1..{self.kmax} (the block size), got {tuple(ks)}")
+        return power_scores(self.distances, self.responses, ks, gamma)
 
 
 def _criterion_value_from_labels(labels: np.ndarray, eta: np.ndarray, g: np.ndarray) -> float:
@@ -160,8 +164,8 @@ def _criterion_value(scores: np.ndarray, eta: np.ndarray, task: Task) -> float:
     return _criterion_value_from_labels(scores > 0.5, eta, eta > 0.5)
 
 
-def _tune(machine: _Machine, block, eta: np.ndarray, gamma: float, grid: tuple[int, ...], task: Task) -> int:
-    vals = [_criterion_value(machine.scores(block, k, gamma), eta, task) for k in grid]
+def _tune(block: NeighborBlock, eta: np.ndarray, gamma: float, grid: tuple[int, ...], task: Task) -> int:
+    vals = [_criterion_value(scores, eta, task) for scores in block.scores(grid, gamma)]
     return grid[int(np.argmin(vals))]  # argmin takes the first = smallest k on ties
 
 
@@ -181,8 +185,8 @@ def tune_k(
     train = model.sample(rng, n_train)
     X_tune = _test_points(model, rng, n_tune)
     eta = model.eta(X_tune)
-    machine = _Machine(train, metric, grid[-1])
-    return _tune(machine, machine.block(X_tune), eta, gamma, grid, model.task)
+    block = NeighborBlock.query(build_index(train, metric), X_tune, grid[-1])
+    return _tune(block, eta, gamma, grid, model.task)
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +496,23 @@ def _one_rep(spec: ExperimentSpec, rep: int, criterion: str) -> dict:
     g_test = eta_test > 0.5
 
     kmax = spec.k_grid[-1]
-    machine = _Machine(train, spec.metric, kmax)
-    tune_block = machine.block(X_tune)
+    index = build_index(train, spec.metric)
+    tune_block = NeighborBlock.query(index, X_tune, kmax)
     tune_task = Task.REGRESSION if criterion == "mse" else Task.CLASSIFICATION
 
     if spec.k_policy is KPolicy.SHARED_OPTIMAL_AT_GAMMA_ZERO:
-        k0 = _tune(machine, tune_block, eta_tune, 0.0, spec.k_grid, tune_task)
+        k0 = _tune(tune_block, eta_tune, 0.0, spec.k_grid, tune_task)
         ks = [k0] * len(gammas)
     else:
-        ks = [_tune(machine, tune_block, eta_tune, float(g), spec.k_grid, tune_task) for g in gammas]
+        ks = [_tune(tune_block, eta_tune, float(g), spec.k_grid, tune_task) for g in gammas]
+    del tune_block  # free it before the next kmax block is queried
 
-    test_block = machine.block(X_test)
+    test_block = NeighborBlock.query(index, X_test, kmax)
 
-    machine2 = None
     test_block2 = None
     if criterion == "cis":
         train2 = model.sample(rng_aux, spec.n_train)
-        machine2 = _Machine(train2, spec.metric, kmax)
-        test_block2 = machine2.block(X_test)
+        test_block2 = NeighborBlock.query(build_index(train2, spec.metric), X_test, kmax)
 
     corr = spec.corruption
     eval_block_shared = None
@@ -518,21 +521,21 @@ def _one_rep(spec: ExperimentSpec, rep: int, criterion: str) -> dict:
             raise TaskMismatch("corruption experiments are defined for the regret criterion")
         if corr.kind is CorruptionKind.RANDOM:
             X_eval = _corrupt_batch(X_test, eta_test, corr, rng_corrupt, None)
-            eval_block_shared = machine.block(X_eval)
+            eval_block_shared = NeighborBlock.query(index, X_eval, kmax)
         elif corr.kind is CorruptionKind.BLACK_BOX:
             # Independent draw, gamma = 0, k as tuned for the clean machine:
             # the adversary trains its own plain k-NN.
             surr_train = model.sample(rng_aux, spec.n_train)
             surrogate = fit(surr_train, EstimatorConfig(k=ks[0], gamma=0.0, metric=spec.metric))
             X_eval = _corrupt_batch(X_test, eta_test, corr, rng_corrupt, surrogate)
-            eval_block_shared = machine.block(X_eval)
+            eval_block_shared = NeighborBlock.query(index, X_eval, kmax)
 
     crit = np.empty(len(gammas))
     for i, (g, k) in enumerate(zip(gammas, ks)):
         g = float(g)
         if criterion == "cis":
-            labels1 = machine.scores(test_block, k, g) > 0.5
-            labels2 = machine2.scores(test_block2, k, g) > 0.5
+            labels1 = test_block.scores((k,), g)[0] > 0.5
+            labels2 = test_block2.scores((k,), g)[0] > 0.5
             crit[i] = float(np.mean(labels1 != labels2))
             continue
         if corr is not None and corr.omega > 0.0:
@@ -540,18 +543,18 @@ def _one_rep(spec: ExperimentSpec, rep: int, criterion: str) -> dict:
                 # The target changes with (k, gamma); share the clean
                 # machine's tree, and give each gamma its own fixed stream.
                 cfg = EstimatorConfig(k=k, gamma=g, metric=spec.metric)
-                target = FittedEstimator(dataset=train, config=cfg, index=machine.index)
+                target = FittedEstimator(dataset=train, config=cfg, index=index)
                 rng_wb = np.random.default_rng(
                     np.random.SeedSequence((spec.master_seed, rep, 7, i))
                 )
                 X_eval = _corrupt_batch(X_test, eta_test, corr, rng_wb, target)
-                eval_block = machine.block(X_eval)
+                eval_block = NeighborBlock.query(index, X_eval, kmax)
             else:
                 eval_block = eval_block_shared
-            scores = machine.scores(eval_block, k, g)
+            scores = eval_block.scores((k,), g)[0]
             crit[i] = _criterion_value_from_labels(scores > 0.5, eta_test, g_test)
         else:
-            scores = machine.scores(test_block, k, g)
+            scores = test_block.scores((k,), g)[0]
             if criterion == "mse":
                 crit[i] = float(np.mean((scores - eta_test) ** 2))
             else:

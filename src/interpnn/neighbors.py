@@ -135,7 +135,11 @@ def query_batch(index: NeighborIndex, X: np.ndarray, k: int):
     _, idx = index.tree.query(X, k=k + 1, p=p)
     idx = idx.astype(np.int64)
     dist = minkowski_distances(index.dataset.points[idx], X[:, None, :], p)
-    order = np.lexsort((idx, dist), axis=-1)
-    dist = np.take_along_axis(dist, order, axis=-1)
-    idx = np.take_along_axis(idx, order, axis=-1)
+    # Where the recomputed distances are strictly increasing the re-ranking
+    # permutation is the identity, so only the other rows are sorted.
+    rows = np.flatnonzero(~(dist[:, 1:] > dist[:, :-1]).all(axis=1))
+    if rows.size:
+        order = np.lexsort((idx[rows], dist[rows]), axis=-1)
+        dist[rows] = np.take_along_axis(dist[rows], order, axis=-1)
+        idx[rows] = np.take_along_axis(idx[rows], order, axis=-1)
     return idx[:, :k], dist[:, :k], dist[:, k]

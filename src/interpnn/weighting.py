@@ -133,6 +133,40 @@ def compute_weights(result: NeighborQueryResult, scheme: WeightScheme) -> np.nda
     return w / w.sum()
 
 
+def power_scores(distances: np.ndarray, responses: np.ndarray, ks, gamma: float) -> np.ndarray:
+    """Power-scheme scores sum_{i<=k} W_i Y_i for every k in ks at once.
+
+    distances (ascending along each row) and responses are (m, K) neighbour
+    blocks with K >= max(ks); the result is (len(ks), m), one row per k.
+    R_{k+1} cancels in the normalisation, so with the nearest neighbour as
+    reference, w_i = exp(-gamma (log R_i - log R_1)) <= 1, and two prefix
+    sums over the first max(ks) columns serve every k. gamma = 0 (and the
+    uniform scheme) is the prefix mean of Y. A row with z zero distances
+    gets the mean response of its first min(k, z) neighbours: that is the
+    interpolating tie split, and for z > k the uniform R_{k+1} = 0 rule.
+    Agrees with compute_weights_batch to the last ulp, not always bitwise.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    kmax = int(ks.max())
+    dist = distances[:, :kmax]
+    y = responses[:, :kmax]
+    cols = ks - 1
+    if gamma == 0.0:
+        return np.ascontiguousarray((np.cumsum(y, axis=1)[:, cols] / ks).T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.log(dist)
+        w -= w[:, :1].copy()
+        w *= -gamma
+        np.exp(w, out=w)
+    out = np.cumsum(w * y, axis=1)[:, cols]
+    out /= np.cumsum(w, axis=1)[:, cols]
+    zero = dist[:, 0] == 0.0
+    if zero.any():
+        n = np.minimum(ks, np.count_nonzero(dist[zero] == 0.0, axis=1)[:, None])
+        out[zero] = np.take_along_axis(np.cumsum(y[zero], axis=1), n - 1, axis=1) / n
+    return np.ascontiguousarray(out.T)
+
+
 def compute_weights_batch(distances: np.ndarray, r_kplus1: np.ndarray, scheme: WeightScheme) -> np.ndarray:
     """Row-wise compute_weights for (m, k) distances and (m,) normalizers."""
     dist = np.asarray(distances, dtype=np.float64)

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 import interpnn as nn
-from interpnn.evaluation import _Machine, _corrupt_batch
+from interpnn.evaluation import _corrupt_batch
 from interpnn.weighting import compute_weights, compute_weights_batch
 
 mp.dps = 50

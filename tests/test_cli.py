@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from interpnn import cli
 from interpnn.cli import main
 from interpnn.theory import pr_same_k
 
@@ -110,6 +111,18 @@ class TestSimulateCommand:
         assert run(["simulate", "--config", cfg, "--out", out, "--paper-scale"]) == 0
         assert "repetitions = 500" in (out / "simulate_config.txt").read_text()
 
+    def test_advisory_once_per_gamma_and_csv_unchanged(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "sim.txt"
+        cfg.write_text(SIM_CFG.replace("gamma_over_d = 0,0.2", "gamma_over_d = 0,0.2,0.35,0.4"))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "shown"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("advisory:") == 2  # gamma = 0.7 and 0.8 are >= d/3 in d = 2
+        assert "gamma = 0.7 >= d/3" in err and "gamma = 0.8 >= d/3" in err
+        monkeypatch.setattr(cli, "_print_advisories", lambda fracs, d: None)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "hidden"]) == 0
+        assert "advisory:" not in capsys.readouterr().err
+        assert (tmp_path / "shown" / "simulate.csv").read_bytes() == (tmp_path / "hidden" / "simulate.csv").read_bytes()
+
     def test_bad_model_rejected(self, tmp_path):
         cfg = tmp_path / "sim.txt"
         cfg.write_text("model = nope\n")
@@ -187,6 +200,13 @@ class TestAttackCommand:
                       for r in rows if r["kind"] == "white_box" and float(r["omega"]) == 0.0]
         assert zero_random == zero_white  # omega = 0 ignores the kind entirely
 
+    def test_advisory_once_per_gamma(self, tmp_path, capsys):
+        cfg = tmp_path / "a.txt"
+        cfg.write_text(ATTACK_CFG.replace("gamma_over_d = 0,0.2", "gamma_over_d = 0,0.2,0.4"))
+        assert run(["attack", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("advisory:") == 1 and "gamma = 0.8 >= d/3" in err
+
     def test_determinism_across_threads(self, tmp_path):
         cfg = tmp_path / "a.txt"
         cfg.write_text(ATTACK_CFG)
@@ -234,6 +254,19 @@ class TestRealCommand:
             assert run(["real", "--config", self.real_cfg(tmp_path), "--out", out]) == 0
             blobs.append((out / "real.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_paper_scale_forces_500_repeats(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setitem(cli.COMMANDS, "real", lambda cfg: seen.update(cfg) or 0)
+        assert run(["real", "--config", self.real_cfg(tmp_path), "--out", tmp_path / "o", "--paper-scale"]) == 0
+        assert seen["repeats"] == 500
+
+    def test_advisory_once_per_gamma(self, tmp_path, capsys):
+        # three features, so gamma/d = 0.4 is gamma = 1.2 >= d/3 = 1
+        cfg = self.real_cfg(tmp_path, gamma_over_d="0,0.1,0.4", repeats="2")
+        assert run(["real", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("advisory:") == 1 and "gamma = 1.2 >= d/3 = 1" in err
 
     def test_missing_file_is_data_error(self, tmp_path):
         cfg = self.real_cfg(tmp_path, csv=tmp_path / "missing.csv")

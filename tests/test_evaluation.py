@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interpnn import (
     CorruptionContext,
@@ -10,7 +11,10 @@ from interpnn import (
     EstimatorConfig,
     ExperimentSpec,
     KPolicy,
+    KTooLarge,
+    Metric,
     MissingContext,
+    NeighborBlock,
     Task,
     TaskMismatch,
     cis_ratio_same_k,
@@ -27,10 +31,13 @@ from interpnn import (
     regression_model,
     run_attack_experiment,
     run_ratio_experiment,
+    score_batch,
     toy_models,
     tune_k,
 )
 from interpnn.evaluation import _corrupt_batch
+from interpnn.neighbors import build_index, query_batch
+from interpnn.weighting import compute_weights_batch, power_scheme
 
 
 class TestEstimateMse:
@@ -168,16 +175,95 @@ class TestTuneK:
             X_tune = m.sample(rng, 4096).points
             eta = m.eta(X_tune)
             from interpnn.core import Metric
-            from interpnn.evaluation import _Machine, _tune
+            from interpnn.evaluation import NeighborBlock, _tune
+            from interpnn.neighbors import build_index
 
-            mach = _Machine(train, Metric(2.0), grid[-1])
-            block = mach.block(X_tune)
-            k0 = _tune(mach, block, eta, 0.0, grid, Task.REGRESSION)
-            kg = _tune(mach, block, eta, 0.6, grid, Task.REGRESSION)
+            block = NeighborBlock.query(build_index(train, Metric(2.0)), X_tune, grid[-1])
+            k0 = _tune(block, eta, 0.0, grid, Task.REGRESSION)
+            kg = _tune(block, eta, 0.6, grid, Task.REGRESSION)
             wins += kg > k0
             ties += kg == k0
         assert wins + ties >= 14
         assert wins >= 1
+
+
+GAMMAS = (0.0, 0.3, 1.0, 50.0, 1e4)
+
+
+def weights_reference(index, X, kmax, ks, gamma):
+    """Scores at each k of ks from compute_weights_batch on the kmax block."""
+    idx, dist, rk = query_batch(index, X, kmax)
+    resp = index.dataset.responses[idx]
+    rows = []
+    for k in ks:
+        w = compute_weights_batch(dist[:, :k], dist[:, k] if k < kmax else rk, power_scheme(gamma))
+        rows.append(np.sum(w * resp[:, :k], axis=1))
+    return np.array(rows)
+
+
+def assert_matches_weights(index, X, ks, gamma):
+    got = NeighborBlock.query(index, X, max(ks)).scores(ks, gamma)
+    assert got.shape == (len(ks), X.shape[0])
+    assert not np.isnan(got).any()
+    np.testing.assert_allclose(got, weights_reference(index, X, max(ks), ks, gamma), rtol=0, atol=1e-12)
+
+
+class TestNeighborBlock:
+    GRID = (1, 2, 3, 5, 8, 13, 21)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_continuous_matches_weights(self, rng, gamma):
+        ds = Dataset(points=rng.uniform(-1, 1, (300, 2)), responses=rng.normal(size=300), task=Task.REGRESSION)
+        assert_matches_weights(build_index(ds, Metric(2.0)), rng.uniform(-1, 1, (120, 2)), self.GRID, gamma)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_duplicated_lattice_matches_weights(self, rng, gamma):
+        # Every lattice point three times: a query on the lattice has three
+        # zero distances, so k = 1, 2 see R_{k+1} = 0 and larger k the
+        # interpolating tie split.
+        base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+        ds = Dataset(points=np.vstack([base] * 3), responses=rng.integers(0, 2, 75).astype(float),
+                     task=Task.CLASSIFICATION)
+        X = np.vstack([base, base[rng.integers(0, 25, 50)] + rng.integers(-1, 2, (50, 2)) * 0.5])
+        index = build_index(ds, Metric(2.0))
+        block = NeighborBlock.query(index, X, max(self.GRID))
+        assert np.count_nonzero(block.distances[:, 2] == 0.0) >= 25
+        assert np.count_nonzero(block.distances[:, 0] > 0.0) > 0
+        assert_matches_weights(index, X, self.GRID, gamma)
+
+    def test_grid_row_equals_single_k_and_score_batch(self, rng):
+        ds = Dataset(points=rng.uniform(-1, 1, (300, 2)), responses=rng.normal(size=300), task=Task.REGRESSION)
+        X = rng.uniform(-1, 1, (120, 2))
+        block = NeighborBlock.query(build_index(ds, Metric(2.0)), X, max(self.GRID))
+        for gamma in (0.0, 0.7):
+            rows = block.scores(self.GRID, gamma)
+            for k, row in zip(self.GRID, rows):
+                assert np.array_equal(row, block.scores((k,), gamma)[0])
+                assert np.array_equal(row, score_batch(fit(ds, EstimatorConfig(k=k, gamma=gamma)), X))
+
+    @pytest.mark.parametrize("ks", [(3, 6), (0, 3)])
+    def test_k_outside_block_rejected(self, rng, ks):
+        ds = Dataset(points=rng.uniform(-1, 1, (30, 2)), responses=np.zeros(30), task=Task.REGRESSION)
+        block = NeighborBlock.query(build_index(ds, Metric(2.0)), rng.uniform(-1, 1, (4, 2)), 5)
+        with pytest.raises(KTooLarge):
+            block.scores(ks, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        levels=st.integers(1, 4),
+        gamma=st.sampled_from(GAMMAS),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_integer_points_match_weights(self, n, d, levels, gamma, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset(points=rng.integers(0, levels, (n, d)).astype(float),
+                     responses=rng.integers(0, 2, n).astype(float), task=Task.CLASSIFICATION)
+        X = rng.integers(0, levels, (8, d)) + rng.integers(0, 2, (8, d)) * 0.5
+        ks = tuple(sorted({int(k) for k in rng.integers(1, n, 3)}))
+        p = float(rng.choice([1.0, 2.0, np.inf]))
+        assert_matches_weights(build_index(ds, Metric(p)), X, ks, gamma)
 
 
 def tiny_spec(**kw):

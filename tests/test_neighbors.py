@@ -150,6 +150,50 @@ class TestOracleEquivalence:
             assert res_q.r_kplus1 == res_b.r_kplus1
 
 
+def always_reranked(index, X, k):
+    """query_batch with every row's k+1 tree candidates sorted by
+    (distance, index), ordered or not."""
+    p = index.metric.p
+    _, idx = index.tree.query(X, k=k + 1, p=p)
+    idx = idx.astype(np.int64)
+    dist = minkowski_distances(index.dataset.points[idx], X[:, None, :], p)
+    order = np.lexsort((idx, dist), axis=-1)
+    dist = np.take_along_axis(dist, order, axis=-1)
+    idx = np.take_along_axis(idx, order, axis=-1)
+    return idx[:, :k], dist[:, :k], dist[:, k]
+
+
+class TestRerankSkip:
+    """query_batch sorts only the rows whose recomputed distances are not
+    strictly increasing; its blocks must equal a full re-rank bit for bit."""
+
+    def assert_same(self, index, X, k):
+        got, want = query_batch(index, X, k), always_reranked(index, X, k)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_random_data(self, rng, p):
+        ds = random_dataset(rng, 300, 3)
+        index = build_index(ds, Metric(p))
+        X = rng.uniform(-1, 1, (200, 3))
+        for k in (1, 7, 60, 299):
+            self.assert_same(index, X, k)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_duplicated_lattice(self, rng, p):
+        base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+        ds = Dataset(points=np.vstack([base, base]), responses=np.zeros(50), task=Task.REGRESSION)
+        index = build_index(ds, Metric(p))
+        X = base[rng.integers(0, 25, 200)] + rng.integers(-1, 2, (200, 2)) * 0.5
+        for k in (1, 4, 9, 30, 49):
+            _, dist, rk = always_reranked(index, X, k)
+            full = np.column_stack([dist, rk])
+            assert (full[:, 1:] == full[:, :-1]).any(axis=1).any()  # tied rows take the sort
+            self.assert_same(index, X, k)
+
+
 def test_r_kplus1_dominates_distances(rng):
     for _ in range(30):
         n, d = int(rng.integers(2, 80)), int(rng.integers(1, 6))

@@ -122,8 +122,6 @@ SCHEMAS = {
         "step": ("float", 0.01),
         "out": ("str", "out"),
         "plot": ("bool", False),
-        "seed": ("int", 0),
-        "threads": ("int", 1),
     },
     "simulate": {
         "model": ("str", "regression"),
@@ -147,7 +145,6 @@ SCHEMAS = {
         "seed": ("int", 0),
         "out": ("str", "out"),
         "plot": ("bool", False),
-        "threads": ("int", 1),
     },
     "attack": {
         "model": ("str", "classification_2"),
@@ -240,7 +237,7 @@ def write_resolved_config(cfg: dict, path: Path, extra: dict | None = None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: list[str], rows, trailer: list[str] | None = None):
+def _write_table(path: Path, header: list[str], rows, trailer: list[str] | None = None):
     def cell(v):
         if isinstance(v, (float, np.floating)):
             return repr(float(v))
@@ -278,7 +275,7 @@ def cmd_theory(cfg: dict) -> int:
         for g, v, flag in zip(curve.gammas, curve.values, curve.in_theory_range)
     ]
     csv_path = out / f"theory_{which}_d{d}.csv"
-    write_csv(csv_path, ["gamma", "gamma_over_d", "value", "in_theory_range"], rows)
+    _write_table(csv_path, ["gamma", "gamma_over_d", "value", "in_theory_range"], rows)
     write_resolved_config(cfg, out / f"theory_{which}_d{d}_config.txt")
     if cfg["plot"]:
         line_plot_svg(
@@ -343,7 +340,7 @@ def cmd_simulate(cfg: dict) -> int:
         for i, fod in enumerate(spec.gamma_over_d)
     ]
     csv_path = out / "simulate.csv"
-    write_csv(
+    _write_table(
         csv_path,
         ["gamma_over_d", "k_used", "criterion_mean", "criterion_sd", "ratio_mean", "ratio_sd", "theory_ratio"],
         rows,
@@ -391,7 +388,7 @@ def cmd_toy(cfg: dict) -> int:
             ]
             plots[mi].append(Series(x_eval, eta_hat, label=name, markers=False))
     csv_path = out / "toy.csv"
-    write_csv(csv_path, ["model_id", "scheme", "x", "eta_true", "eta_hat"], rows)
+    _write_table(csv_path, ["model_id", "scheme", "x", "eta_true", "eta_hat"], rows)
     write_resolved_config(cfg, out / "toy_config.txt")
     if cfg["plot"]:
         for mi, series in plots.items():
@@ -418,7 +415,7 @@ def cmd_attack(cfg: dict) -> int:
             for i, fod in enumerate(spec.gamma_over_d):
                 rows.append((kind.value, float(omega), fod, res.criterion_mean[i], res.criterion_sd[i]))
     csv_path = out / "attack.csv"
-    write_csv(csv_path, ["kind", "omega", "gamma_over_d", "regret_mean", "regret_sd"], rows)
+    _write_table(csv_path, ["kind", "omega", "gamma_over_d", "regret_mean", "regret_sd"], rows)
     write_resolved_config(cfg, out / "attack_config.txt")
     if cfg["plot"]:
         x = np.asarray(spec.gamma_over_d)
@@ -464,8 +461,6 @@ def cmd_real(cfg: dict) -> int:
         has_header=cfg["has_header"],
         binarization=_parse_binarize(cfg["binarize"]),
         train_fraction=cfg["train_fraction"],
-        split_seed=cfg["seed"],
-        standardize=cfg["standardize"],
     )
     data = load_csv(ingest_spec)
     fracs = tuple(sorted(set((0.0,) + tuple(cfg["gamma_over_d"]))))
@@ -509,7 +504,7 @@ def cmd_real(cfg: dict) -> int:
             f"vs gamma=0: {float(err_mean[0])!r}"
         )
     csv_path = out / "real.csv"
-    write_csv(csv_path, ["gamma_over_d", "k_best", "test_error_mean", "test_error_sd"], rows, trailer=trailer)
+    _write_table(csv_path, ["gamma_over_d", "k_best", "test_error_mean", "test_error_sd"], rows, trailer=trailer)
     write_resolved_config(cfg, out / "real_config.txt", extra={"derived_split_seeds": tuple(split_seeds)})
     for line in trailer:
         print(line.lstrip("# "))
@@ -536,9 +531,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--plot", action="store_true", default=None)
-        p.add_argument("--threads", type=int, default=None)
+        if "seed" in SCHEMAS[name]:
+            p.add_argument("--seed", type=int, default=None)
+        if "threads" in SCHEMAS[name]:
+            p.add_argument("--threads", type=int, default=None)
         p.add_argument("--paper-scale", action="store_true", default=False,
                        help="use 500 repetitions regardless of the config")
         if name == "theory":

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, EstimatorConfig, Task, TaskMismatch, validate_config
-from .neighbors import NeighborIndex, build_index, query, query_batch
-from .weighting import WeightScheme, compute_weights, compute_weights_batch, power_scheme, power_scores
+from .neighbors import NeighborIndex, build_index, query_batch
+from .weighting import WeightScheme, compute_weights_batch, power_scheme, power_scores
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,9 @@ def _require(est: FittedEstimator, task: Task):
 
 
 def score(est: FittedEstimator, x) -> float:
-    """Raw weighted response sum(W_i * Y^i) at a single query point."""
-    res = query(est.index, x, est.config.k)
-    w = compute_weights(res, est.scheme)
-    return float(np.dot(w, est.dataset.responses[res.indices]))
+    """Raw weighted response sum(W_i * Y^i) at a single query point: one row
+    of score_batch."""
+    return float(score_batch(est, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 def predict_regression(est: FittedEstimator, x) -> float:

@@ -260,7 +260,8 @@ def _opposite_training_hits(est: FittedEstimator, X: np.ndarray, g: np.ndarray, 
 
 
 def corrupt(x: np.ndarray, spec: CorruptionSpec, context: CorruptionContext) -> np.ndarray:
-    """Corrupted version of a single test point per the spec's kind.
+    """Corrupted version of a single test point per the spec's kind: one row
+    of _corrupt_batch.
 
     omega = 0 returns x unchanged (no randomness consumed). Both attacks
     are budgeted inner-maximization approximations; the white-box candidate
@@ -268,41 +269,17 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, context: CorruptionContext) -> 
     the ball, which is the construction that provably flips an
     interpolating estimator.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if spec.omega == 0.0:
-        return x.copy()
-    if context.rng is None:
-        raise MissingContext("corruption needs an rng in the context")
-    X = x[None, :]
-    if spec.kind is CorruptionKind.RANDOM:
-        return (X + _ball_samples(context.rng, 1, 1, x.size, spec.omega)[:, 0, :])[0]
-
-    if context.eta_x is None:
-        raise MissingContext(f"{spec.kind.value} attack needs eta_x in the context")
-    machine = context.surrogate if spec.kind is CorruptionKind.BLACK_BOX else context.target
-    if machine is None:
-        which = "surrogate" if spec.kind is CorruptionKind.BLACK_BOX else "target"
-        raise MissingContext(f"{spec.kind.value} attack needs a {which} estimator in the context")
-
-    cands = np.concatenate([X[:, None, :], X[:, None, :] + _ball_samples(context.rng, 1, spec.candidate_budget, x.size, spec.omega)], axis=1)[0]
-    scores = score_batch(machine, cands)
-    sgn = 1.0 if context.eta_x < 0.5 else -1.0
-    best = int(np.argmax(sgn * scores))
-    best_point = cands[best]
-    best_signed = sgn * scores[best]
-
-    if spec.kind is CorruptionKind.WHITE_BOX:
-        g = np.array([context.eta_x > 0.5])
-        opp = _opposite_training_hits(machine, X, g, spec.omega)[0]
-        if opp:
-            tp = machine.dataset.points[opp]
-            tp_scores = score_batch(machine, tp)
-            j = int(np.argmax(sgn * tp_scores))
-            # Ties prefer the training point: it is the exact flipping
-            # construction, a ball sample only matches it by accident.
-            if sgn * tp_scores[j] >= best_signed:
-                best_point = tp[j]
-    return best_point.copy()
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    machine = None
+    if spec.omega > 0.0:
+        if context.rng is None:
+            raise MissingContext("corruption needs an rng in the context")
+        if spec.kind is not CorruptionKind.RANDOM:
+            if context.eta_x is None:
+                raise MissingContext(f"{spec.kind.value} attack needs eta_x in the context")
+            machine = context.surrogate if spec.kind is CorruptionKind.BLACK_BOX else context.target
+    eta = np.array([np.nan if context.eta_x is None else context.eta_x])
+    return _corrupt_batch(x, eta, spec, context.rng, machine)[0].copy()
 
 
 def _corrupt_batch(
@@ -312,8 +289,9 @@ def _corrupt_batch(
     rng: np.random.Generator,
     machine: Optional[FittedEstimator],
 ) -> np.ndarray:
-    """Vectorized corruption of an (m, d) test matrix; semantics identical
-    to corrupt() applied row-wise."""
+    """Corruption of each row of an (m, d) test matrix, whose true eta
+    values are eta; machine is the black box's surrogate or the white box's
+    target."""
     if spec.omega == 0.0:
         return X
     m, d = X.shape
@@ -321,7 +299,8 @@ def _corrupt_batch(
         return X + _ball_samples(rng, m, 1, d, spec.omega)[:, 0, :]
 
     if machine is None:
-        raise MissingContext(f"{spec.kind.value} attack needs an estimator")
+        which = "surrogate" if spec.kind is CorruptionKind.BLACK_BOX else "target"
+        raise MissingContext(f"{spec.kind.value} attack needs a {which} estimator")
     b = spec.candidate_budget
     cands = np.concatenate([X[:, None, :], X[:, None, :] + _ball_samples(rng, m, b, d, spec.omega)], axis=1)
     scores = score_batch(machine, cands.reshape(m * (b + 1), d)).reshape(m, b + 1)
@@ -341,6 +320,8 @@ def _corrupt_batch(
                     continue
                 signed = [sgn[i] * tp_scores[j] for j in lst]
                 j_best = int(np.argmax(signed))
+                # Ties prefer the training point: it is the exact flipping
+                # construction, a ball sample only matches it by accident.
                 if signed[j_best] >= best_signed[i]:
                     out[i] = machine.dataset.points[lst[j_best]]
     return out

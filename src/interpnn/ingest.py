@@ -51,8 +51,6 @@ class IngestSpec:
     has_header: bool = True
     binarization: Binarization = None
     train_fraction: float = 0.25
-    split_seed: int = 0
-    standardize: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):

@@ -95,42 +95,11 @@ def phi_catalog(name: str, gamma: float = 1.0) -> WeightScheme:
     raise UnknownScheme(f"unknown scheme {name!r}")
 
 
-def _tie_split(distances: np.ndarray) -> np.ndarray:
-    zero = distances == 0.0
-    w = np.zeros_like(distances)
-    w[zero] = 1.0 / np.count_nonzero(zero)
-    return w
-
-
 def compute_weights(result: NeighborQueryResult, scheme: WeightScheme) -> np.ndarray:
-    """Normalized weight vector W with W_i >= 0 and sum(W) = 1.
-
-    W_i = phi(R_i / R_{k+1}) / sum_j phi(R_j / R_{k+1}). When a neighbor
-    coincides with the query (R_i = 0) and the scheme interpolates, the
-    full mass is split equally among the zero-distance neighbors: that is
-    the analytic limit of phi(t) -> inf and the defining interpolation
-    property. R_{k+1} = 0 (the query duplicated k+1 times) degenerates to
-    the same rule, i.e. a uniform split.
-    """
-    dist = np.asarray(result.distances, dtype=np.float64)
-    k = dist.shape[0]
-    if scheme.kind == "uniform" or (scheme.kind == "power" and scheme.gamma == 0.0):
-        return np.full(k, 1.0 / k)
-    if result.r_kplus1 == 0.0:
-        return np.full(k, 1.0 / k)
-    has_zero = bool((dist == 0.0).any())
-    if has_zero and scheme.interpolates:
-        return _tie_split(dist)
-
-    t = dist / result.r_kplus1
-    if scheme.kind == "power":
-        logw = -scheme.gamma * np.log(t)
-        logw -= logw.max()
-        w = np.exp(logw)
-    else:
-        t = np.maximum(t, _ZERO_PROBE)
-        w = np.clip(np.asarray(scheme.phi(t), dtype=np.float64), 0.0, _PHI_CLAMP)
-    return w / w.sum()
+    """Normalized weight vector W with W_i >= 0 and sum(W) = 1: one row of
+    compute_weights_batch."""
+    dist = np.asarray(result.distances, dtype=np.float64)[None, :]
+    return compute_weights_batch(dist, np.array([result.r_kplus1]), scheme)[0]
 
 
 def power_scores(distances: np.ndarray, responses: np.ndarray, ks, gamma: float) -> np.ndarray:
@@ -168,7 +137,15 @@ def power_scores(distances: np.ndarray, responses: np.ndarray, ks, gamma: float)
 
 
 def compute_weights_batch(distances: np.ndarray, r_kplus1: np.ndarray, scheme: WeightScheme) -> np.ndarray:
-    """Row-wise compute_weights for (m, k) distances and (m,) normalizers."""
+    """Normalized weights for (m, k) distances and (m,) normalizers R_{k+1}.
+
+    W_i = phi(R_i / R_{k+1}) / sum_j phi(R_j / R_{k+1}) along each row. When
+    a neighbor coincides with the query (R_i = 0) and the scheme
+    interpolates, the row's full mass is split equally among its
+    zero-distance neighbors: that is the analytic limit of phi(t) -> inf and
+    the defining interpolation property. R_{k+1} = 0 (the query duplicated
+    k+1 times) degenerates to the same rule, i.e. a uniform split.
+    """
     dist = np.asarray(distances, dtype=np.float64)
     m, k = dist.shape
     if scheme.kind == "uniform" or (scheme.kind == "power" and scheme.gamma == 0.0):

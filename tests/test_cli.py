@@ -51,6 +51,15 @@ class TestTheoryCommand:
     def test_bad_step_exit_code(self, tmp_path):
         assert run(["theory", "--d", 2, "--step", 0, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("command,key", [("theory", "seed"), ("theory", "threads"), ("toy", "threads")])
+    def test_unread_keys_removed(self, tmp_path, command, key):
+        # theory draws nothing at random and toy runs serially: neither has
+        # these keys or the matching flag
+        (tmp_path / "cfg.txt").write_text(f"{key} = 1\n")
+        assert run([command, "--config", tmp_path / "cfg.txt", "--out", tmp_path]) == 2
+        with pytest.raises(SystemExit):
+            run([command, f"--{key}", 1, "--out", tmp_path])
+
 
 SIM_CFG = """
 model = classification_2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from interpnn import (
     predict_regression_batch,
     uniform_scheme,
 )
+from interpnn.weighting import power_scores
 
 
 def line_dataset():
@@ -147,6 +150,20 @@ class TestConsistency:
         batch = predict_regression_batch(est, queries)
         singles = [predict_regression(est, q) for q in queries]
         assert np.allclose(batch, singles, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_lattice_scores_match_brute_force_reference(self, rng, p):
+        # duplicated lattice: ties at R_{k+1} and zero-distance neighbours
+        base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+        ds = Dataset(points=np.vstack([base, base]), responses=rng.normal(size=50), task=Task.REGRESSION)
+        queries = base[rng.integers(0, 25, 60)] + rng.integers(-1, 2, (60, 2)) * 0.5
+        for k, gamma in ((1, 0.0), (4, 0.0), (9, 0.7), (30, 3.0), (49, 0.2)):
+            est = fit(ds, EstimatorConfig(k=k, gamma=gamma, metric=Metric(p)))
+            batch = predict_regression_batch(est, queries)
+            for q, b in zip(queries, batch):
+                ref = brute_force_query(ds, Metric(p), q, k)
+                want = power_scores(ref.distances[None, :], ds.responses[ref.indices][None, :], (k,), gamma)[0, 0]
+                assert b == want == predict_regression(est, q)
 
     def test_gamma_zero_equals_uniform_scheme_bitwise(self, rng):
         X = rng.uniform(-1, 1, (80, 2))

@@ -381,6 +381,20 @@ class TestCorrupt:
         assert np.array_equal(out, np.array([0.0]))
         assert predict_class(est, out)[0] == 1
 
+    @pytest.mark.parametrize("kind", list(CorruptionKind))
+    def test_single_is_one_row_of_batch(self, kind):
+        # duplicated lattice training points, so the attacks score tied rows
+        base = np.array([[i, j] for i in range(6) for j in range(6)], dtype=float) / 5.0
+        ds = Dataset(points=np.vstack([base, base]), responses=np.tile(base.sum(axis=1) > 1.0, 2),
+                     task=Task.CLASSIFICATION)
+        est = fit(ds, EstimatorConfig(k=5, gamma=1.0))
+        spec = CorruptionSpec(kind=kind, omega=0.3, candidate_budget=8)
+        for i, x in enumerate(base[::5]):
+            eta_x = 0.3 if i % 2 else 0.7
+            ctx = CorruptionContext(rng=np.random.default_rng(i), eta_x=eta_x, surrogate=est, target=est)
+            want = _corrupt_batch(x[None, :], np.array([eta_x]), spec, np.random.default_rng(i), est)[0]
+            assert np.array_equal(corrupt(x, spec, ctx), want)
+
     def test_black_box_moves_score_adversarially(self):
         surr = fit(self.model.sample(np.random.default_rng(8), 128), EstimatorConfig(k=8, gamma=0.0))
         spec = CorruptionSpec(kind=CorruptionKind.BLACK_BOX, omega=0.4, candidate_budget=32)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interpnn import neighbors
 from interpnn import (
     Dataset,
     DimensionMismatch,
@@ -124,15 +125,18 @@ class TestOracleEquivalence:
         assert res_q.r_kplus1 == res_b.r_kplus1
 
     def test_batch_matches_single(self, rng):
-        ds = random_dataset(rng, 100, 4)
-        idx = build_index(ds, Metric(2.0))
-        X = rng.uniform(-1, 1, (25, 4))
-        bi, bd, br = query_batch(idx, X, k=7)
-        for row in range(25):
-            res = query(idx, X[row], k=7)
-            assert np.array_equal(bi[row], res.indices)
-            assert np.array_equal(bd[row], res.distances)
-            assert br[row] == res.r_kplus1
+        # continuous points, then a duplicated lattice full of exact ties
+        lattice = duplicated_lattice()
+        X_lattice = lattice.points[rng.integers(0, 50, 25)] + rng.integers(-1, 2, (25, 2)) * 0.5
+        for ds, X in ((random_dataset(rng, 100, 4), rng.uniform(-1, 1, (25, 4))), (lattice, X_lattice)):
+            idx = build_index(ds, Metric(2.0))
+            bi, bd, br = query_batch(idx, X, k=7)
+            for row in range(25):
+                res = query(idx, X[row], k=7)
+                ref = brute_force_query(ds, Metric(2.0), X[row], k=7)
+                assert np.array_equal(bi[row], res.indices) and np.array_equal(bi[row], ref.indices)
+                assert np.array_equal(bd[row], res.distances) and np.array_equal(bd[row], ref.distances)
+                assert br[row] == res.r_kplus1 == ref.r_kplus1
 
     def test_duplicated_grid_with_ties(self, rng):
         # lattice data guarantees plenty of exact distance ties
@@ -150,6 +154,12 @@ class TestOracleEquivalence:
             assert res_q.r_kplus1 == res_b.r_kplus1
 
 
+def duplicated_lattice():
+    """Two copies of the 5 x 5 integer lattice: ties at almost every distance."""
+    base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+    return Dataset(points=np.vstack([base, base]), responses=np.zeros(50), task=Task.REGRESSION)
+
+
 def always_reranked(index, X, k):
     """query_batch with every row's k+1 tree candidates sorted by
     (distance, index), ordered or not."""
@@ -163,15 +173,25 @@ def always_reranked(index, X, k):
     return idx[:, :k], dist[:, :k], dist[:, k]
 
 
+def brute_force_batch(dataset, metric, X, k):
+    """brute_force_query row by row, stacked like query_batch's result."""
+    rows = [brute_force_query(dataset, metric, x, k) for x in X]
+    return (np.array([r.indices for r in rows]).reshape(len(X), k),
+            np.array([r.distances for r in rows]).reshape(len(X), k),
+            np.array([r.r_kplus1 for r in rows]))
+
+
+def assert_blocks_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
 class TestRerankSkip:
     """query_batch sorts only the rows whose recomputed distances are not
-    strictly increasing; its blocks must equal a full re-rank bit for bit."""
-
-    def assert_same(self, index, X, k):
-        got, want = query_batch(index, X, k), always_reranked(index, X, k)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
+    strictly increasing. On tie-free data its blocks equal a full re-rank of
+    the tree's first k+1 candidates bit for bit; on tied data they equal the
+    brute-force oracle."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_random_data(self, rng, p):
@@ -179,19 +199,66 @@ class TestRerankSkip:
         index = build_index(ds, Metric(p))
         X = rng.uniform(-1, 1, (200, 3))
         for k in (1, 7, 60, 299):
-            self.assert_same(index, X, k)
+            assert_blocks_equal(query_batch(index, X, k), always_reranked(index, X, k))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_duplicated_lattice(self, rng, p):
-        base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
-        ds = Dataset(points=np.vstack([base, base]), responses=np.zeros(50), task=Task.REGRESSION)
+        ds = duplicated_lattice()
         index = build_index(ds, Metric(p))
+        base = ds.points[:25]
         X = base[rng.integers(0, 25, 200)] + rng.integers(-1, 2, (200, 2)) * 0.5
         for k in (1, 4, 9, 30, 49):
             _, dist, rk = always_reranked(index, X, k)
             full = np.column_stack([dist, rk])
             assert (full[:, 1:] == full[:, :-1]).any(axis=1).any()  # tied rows take the sort
-            self.assert_same(index, X, k)
+            assert_blocks_equal(query_batch(index, X, k), brute_force_batch(ds, Metric(p), X, k))
+
+
+class TestExactBatch:
+    """query_batch keeps the lowest-index tie rule: it equals the
+    brute-force oracle bit for bit on tied data."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_duplicated_lattice_every_k(self, rng, p):
+        ds = duplicated_lattice()
+        index = build_index(ds, Metric(p))
+        X = ds.points[rng.integers(0, 50, 40)] + rng.integers(-1, 2, (40, 2)) * 0.5
+        for k in range(1, ds.n):
+            assert_blocks_equal(query_batch(index, X, k), brute_force_batch(ds, Metric(p), X, k))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_ties_only_after_the_first_chunk(self, rng, p):
+        # Training points come in pairs P, -P, so a query at the origin ties
+        # every pair while a random query ties none. The first chunk is all
+        # random queries; later chunks mix in origin rows.
+        half = rng.uniform(-1, 1, (30, 2))
+        ds = Dataset(points=np.vstack([half, -half]), responses=np.zeros(60), task=Task.REGRESSION)
+        m = neighbors._FIRST_CHUNK_ROWS + neighbors._CHUNK_ROWS + 100
+        X = rng.uniform(-1, 1, (m, 2))
+        later = np.arange(neighbors._FIRST_CHUNK_ROWS, m)
+        origin = later[rng.random(later.size) < 0.3]
+        X[origin] = 0.0
+        index = build_index(ds, Metric(p))
+        for k in (3, 12):
+            _, dist, r = brute_force_batch(ds, Metric(p), X, k + 1)
+            full = np.column_stack([dist, r])
+            tied = (full[:, 1:] == full[:, :-1]).any(axis=1)
+            assert not tied[: neighbors._FIRST_CHUNK_ROWS].any() and tied[origin].all()
+            assert_blocks_equal(query_batch(index, X, k), brute_force_batch(ds, Metric(p), X, k))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 3),
+        p=st.sampled_from([1.0, 2.0, math.inf]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_integer_points_match_brute_force(self, n, d, p, seed):
+        rng = np.random.default_rng(seed)
+        ds = Dataset(points=rng.integers(0, 4, (n, d)).astype(float), responses=np.zeros(n), task=Task.REGRESSION)
+        X = rng.integers(-1, 9, (12, d)) * 0.5
+        k = int(rng.integers(1, n))
+        assert_blocks_equal(query_batch(build_index(ds, Metric(p)), X, k), brute_force_batch(ds, Metric(p), X, k))
 
 
 def test_r_kplus1_dominates_distances(rng):

@@ -38,6 +38,7 @@ from .evaluation import (
     ExperimentSpec,
     KPolicy,
     NeighborBlock,
+    disagreement_rate,
     run_attack_experiment,
     run_ratio_experiment,
 )
@@ -483,11 +484,9 @@ def cmd_real(cfg: dict) -> int:
         est = fit(train, EstimatorConfig(k=grid[-1], metric=metric))
         block = NeighborBlock.query(est.index, test.points, grid[-1])
         y_test = test.responses == 1.0
+        test_error = lambda scores: disagreement_rate(scores > 0.5, y_test)
         for gi, g in enumerate(gammas):
-            errs = [float(np.mean((scores > 0.5) != y_test)) for scores in block.scores(grid, g)]
-            best = int(np.argmin(errs))
-            errors[r, gi] = errs[best]
-            best_ks[r, gi] = grid[best]
+            best_ks[r, gi], errors[r, gi] = block.tune(grid, g, test_error)
 
     err_mean = errors.mean(axis=0)
     err_sd = errors.std(axis=0, ddof=1) if cfg["repeats"] > 1 else np.zeros(len(gammas))
@@ -536,8 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=None)
         if "threads" in SCHEMAS[name]:
             p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--paper-scale", action="store_true", default=False,
-                       help="use 500 repetitions regardless of the config")
+        if {"repetitions", "repeats"} & set(SCHEMAS[name]):
+            p.add_argument("--paper-scale", action="store_true", default=False,
+                           help="use 500 repetitions regardless of the config")
         if name == "theory":
             p.add_argument("--d", type=int, default=None)
             p.add_argument("--which", default=None, choices=sorted({"pr", "pr_opt", "cis", "cis_opt", "ownn"}))
@@ -555,7 +555,7 @@ def _main(argv) -> int:
         if hasattr(args, k) and getattr(args, k) is not None
     }
     cfg = resolve_config(args.command, file_cfg, overrides)
-    if args.paper_scale:
+    if getattr(args, "paper_scale", False):
         for key in ("repetitions", "repeats"):
             if key in cfg:
                 cfg[key] = 500

@@ -153,15 +153,12 @@ class EstimatorConfig:
     """Neighbor count k, interpolation level gamma, metric, and weight scheme.
 
     ``scheme=None`` means the power interpolation scheme at level ``gamma``.
-    ``advisory`` is attached by validate_config when gamma is outside the
-    asymptotic theory's range (gamma >= d/3); it never blocks anything.
     """
 
     k: int
     gamma: float = 0.0
     metric: Metric = field(default_factory=Metric)
     scheme: Optional[object] = None
-    advisory: Optional[str] = None
 
 
 def theory_advisory(gamma: float, d: int) -> Optional[str]:
@@ -175,10 +172,9 @@ def theory_advisory(gamma: float, d: int) -> Optional[str]:
 def validate_config(config: EstimatorConfig, dataset: Dataset) -> EstimatorConfig:
     """Check config invariants against a dataset.
 
-    Returns the config unchanged when valid (identical object on
-    re-validation, so the call is idempotent). A non-fatal advisory string
-    is attached when gamma >= d/3, which the asymptotic results do not
-    cover but the estimator happily evaluates.
+    Returns the config unchanged when valid, so the call is idempotent.
+    gamma >= d/3, which the asymptotic results do not cover, is valid: see
+    theory_advisory.
     """
     if not isinstance(config.k, (int, np.integer)) or config.k < 1:
         raise KTooLarge(f"k must be a positive integer, got {config.k!r}")
@@ -191,16 +187,4 @@ def validate_config(config: EstimatorConfig, dataset: Dataset) -> EstimatorConfi
         raise NegativeGamma(f"gamma must be finite and >= 0, got {config.gamma}")
     if not (config.metric.p >= 1.0):
         raise BadMetric(f"p must satisfy p >= 1, got {config.metric.p}")
-
-    msg = theory_advisory(config.gamma, dataset.d)
-    if msg is not None:
-        if config.advisory == msg:
-            return config
-        from dataclasses import replace
-
-        return replace(config, advisory=msg)
-    if config.advisory is not None:
-        from dataclasses import replace
-
-        return replace(config, advisory=None)
     return config

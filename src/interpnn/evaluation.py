@@ -56,6 +56,25 @@ def _test_points(model: SyntheticModel, rng: np.random.Generator, n: int) -> np.
     return model.sample(rng, n).points
 
 
+def _mse(scores: np.ndarray, eta: np.ndarray) -> float:
+    """Mean squared error of regression scores against exact eta."""
+    return float(np.mean((scores - eta) ** 2))
+
+
+def _regret(labels: np.ndarray, eta: np.ndarray) -> float:
+    """Regret of labels by the weighted identity 2 |eta - 1/2| 1{label != g},
+    g = eta > 1/2 being the Bayes labels."""
+    return float(np.mean(2.0 * np.abs(eta - 0.5) * (labels != (eta > 0.5))))
+
+
+def _loss(criterion: str, eta: np.ndarray) -> Callable[[np.ndarray], float]:
+    """The loss of one row of scores against eta: MSE for "mse", else the
+    Regret of the labels scores > 1/2."""
+    if criterion == "mse":
+        return lambda scores: _mse(scores, eta)
+    return lambda scores: _regret(scores > 0.5, eta)
+
+
 def estimate_mse(est, model: SyntheticModel, n_test: int, rng: np.random.Generator) -> float:
     """Mean squared error of the regression estimate against exact eta."""
     if isinstance(est, FittedEstimator) and est.dataset.task is not Task.REGRESSION:
@@ -63,7 +82,7 @@ def estimate_mse(est, model: SyntheticModel, n_test: int, rng: np.random.Generat
     X = _test_points(model, rng, n_test)
     eta = model.eta(X)
     preds = est(X) if callable(est) else predict_regression_batch(est, X)
-    return float(np.mean((np.asarray(preds) - eta) ** 2))
+    return _mse(np.asarray(preds), eta)
 
 
 def estimate_regret(est, model: SyntheticModel, n_test: int, rng: np.random.Generator) -> float:
@@ -73,9 +92,8 @@ def estimate_regret(est, model: SyntheticModel, n_test: int, rng: np.random.Gene
         raise TaskMismatch("estimate_regret needs a classification estimator")
     X = _test_points(model, rng, n_test)
     eta = model.eta(X)
-    g = eta > 0.5
     labels = np.asarray(est(X)) if callable(est) else predict_class_batch(est, X)[0]
-    return float(np.mean(2.0 * np.abs(eta - 0.5) * (labels != g)))
+    return _regret(labels, eta)
 
 
 def disagreement_rate(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
@@ -153,20 +171,11 @@ class NeighborBlock:
             raise KTooLarge(f"every k must lie in 1..{self.kmax} (the block size), got {tuple(ks)}")
         return power_scores(self.distances, self.responses, ks, gamma)
 
-
-def _criterion_value_from_labels(labels: np.ndarray, eta: np.ndarray, g: np.ndarray) -> float:
-    return float(np.mean(2.0 * np.abs(eta - 0.5) * (labels != g)))
-
-
-def _criterion_value(scores: np.ndarray, eta: np.ndarray, task: Task) -> float:
-    if task is Task.REGRESSION:
-        return float(np.mean((scores - eta) ** 2))
-    return _criterion_value_from_labels(scores > 0.5, eta, eta > 0.5)
-
-
-def _tune(block: NeighborBlock, eta: np.ndarray, gamma: float, grid: tuple[int, ...], task: Task) -> int:
-    vals = [_criterion_value(scores, eta, task) for scores in block.scores(grid, gamma)]
-    return grid[int(np.argmin(vals))]  # argmin takes the first = smallest k on ties
+    def tune(self, ks, gamma: float, loss: Callable[[np.ndarray], float]) -> tuple[int, float]:
+        """The first k in ks minimising loss(scores at k), and that loss."""
+        vals = [loss(scores) for scores in self.scores(ks, gamma)]
+        best = int(np.argmin(vals))  # argmin takes the first on ties
+        return ks[best], vals[best]
 
 
 def tune_k(
@@ -186,7 +195,8 @@ def tune_k(
     X_tune = _test_points(model, rng, n_tune)
     eta = model.eta(X_tune)
     block = NeighborBlock.query(build_index(train, metric), X_tune, grid[-1])
-    return _tune(block, eta, gamma, grid, model.task)
+    criterion = "mse" if model.task is Task.REGRESSION else "regret"
+    return block.tune(grid, gamma, _loss(criterion, eta))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +280,13 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, context: CorruptionContext) -> 
     interpolating estimator.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    machine = None
     if spec.omega > 0.0:
         if context.rng is None:
             raise MissingContext("corruption needs an rng in the context")
-        if spec.kind is not CorruptionKind.RANDOM:
-            if context.eta_x is None:
-                raise MissingContext(f"{spec.kind.value} attack needs eta_x in the context")
-            machine = context.surrogate if spec.kind is CorruptionKind.BLACK_BOX else context.target
+        if spec.kind is not CorruptionKind.RANDOM and context.eta_x is None:
+            raise MissingContext(f"{spec.kind.value} attack needs eta_x in the context")
     eta = np.array([np.nan if context.eta_x is None else context.eta_x])
-    return _corrupt_batch(x, eta, spec, context.rng, machine)[0].copy()
+    return _corrupt_batch(x, eta, spec, context.rng, context.surrogate, context.target)[0].copy()
 
 
 def _corrupt_batch(
@@ -287,19 +294,20 @@ def _corrupt_batch(
     eta: np.ndarray,
     spec: CorruptionSpec,
     rng: np.random.Generator,
-    machine: Optional[FittedEstimator],
+    surrogate: Optional[FittedEstimator] = None,
+    target: Optional[FittedEstimator] = None,
 ) -> np.ndarray:
     """Corruption of each row of an (m, d) test matrix, whose true eta
-    values are eta; machine is the black box's surrogate or the white box's
-    target."""
+    values are eta. The black box scores candidates with surrogate, the
+    white box with target; omega = 0 returns X itself."""
     if spec.omega == 0.0:
         return X
     m, d = X.shape
     if spec.kind is CorruptionKind.RANDOM:
         return X + _ball_samples(rng, m, 1, d, spec.omega)[:, 0, :]
 
+    machine, which = (surrogate, "surrogate") if spec.kind is CorruptionKind.BLACK_BOX else (target, "target")
     if machine is None:
-        which = "surrogate" if spec.kind is CorruptionKind.BLACK_BOX else "target"
         raise MissingContext(f"{spec.kind.value} attack needs a {which} estimator")
     b = spec.candidate_budget
     cands = np.concatenate([X[:, None, :], X[:, None, :] + _ball_samples(rng, m, b, d, spec.omega)], axis=1)
@@ -346,20 +354,8 @@ def estimate_corrupted_regret(
         raise TaskMismatch("estimate_corrupted_regret needs a classification estimator")
     X = _test_points(model, rng, n_test)
     eta = model.eta(X)
-    g = eta > 0.5
-    if spec.omega == 0.0:
-        X_eval = X
-    else:
-        machine = None
-        if spec.kind is CorruptionKind.BLACK_BOX:
-            if surrogate is None:
-                raise MissingContext("black-box attack needs a surrogate estimator")
-            machine = surrogate
-        elif spec.kind is CorruptionKind.WHITE_BOX:
-            machine = est
-        X_eval = _corrupt_batch(X, eta, spec, rng, machine)
-    labels, _ = predict_class_batch(est, X_eval)
-    return float(np.mean(2.0 * np.abs(eta - 0.5) * (labels != g)))
+    labels, _ = predict_class_batch(est, _corrupt_batch(X, eta, spec, rng, surrogate, target=est))
+    return _regret(labels, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -458,88 +454,73 @@ _THEORY_OVERLAY = {
 
 def _rep_streams(master_seed: int, rep: int):
     ss = np.random.SeedSequence((master_seed, rep))
-    return [np.random.default_rng(child) for child in ss.spawn(6)]
+    return [np.random.default_rng(child) for child in ss.spawn(5)]
 
 
 def _one_rep(spec: ExperimentSpec, rep: int, criterion: str) -> dict:
     model = spec.model
     d = model.d
     gammas = np.asarray(spec.gamma_over_d) * d
-    rng_train, rng_tune, rng_test, rng_aux, rng_corrupt, _rng_reserved = _rep_streams(
-        spec.master_seed, rep
-    )
+    rng_train, rng_tune, rng_test, rng_aux, rng_corrupt = _rep_streams(spec.master_seed, rep)
 
     train = model.sample(rng_train, spec.n_train)
     X_tune = _test_points(model, rng_tune, spec.n_tune)
     eta_tune = model.eta(X_tune)
     X_test = _test_points(model, rng_test, spec.n_test)
     eta_test = model.eta(X_test)
-    g_test = eta_test > 0.5
 
     kmax = spec.k_grid[-1]
     index = build_index(train, spec.metric)
     tune_block = NeighborBlock.query(index, X_tune, kmax)
-    tune_task = Task.REGRESSION if criterion == "mse" else Task.CLASSIFICATION
+    tune_loss = _loss(criterion, eta_tune)  # CIS tunes by Regret
 
     if spec.k_policy is KPolicy.SHARED_OPTIMAL_AT_GAMMA_ZERO:
-        k0 = _tune(tune_block, eta_tune, 0.0, spec.k_grid, tune_task)
+        k0, _ = tune_block.tune(spec.k_grid, 0.0, tune_loss)
         ks = [k0] * len(gammas)
     else:
-        ks = [_tune(tune_block, eta_tune, float(g), spec.k_grid, tune_task) for g in gammas]
+        ks = [tune_block.tune(spec.k_grid, float(g), tune_loss)[0] for g in gammas]
     del tune_block  # free it before the next kmax block is queried
 
-    test_block = NeighborBlock.query(index, X_test, kmax)
+    block = NeighborBlock.query(index, X_test, kmax)
+    test_loss = _loss(criterion, eta_test)
 
-    test_block2 = None
+    block2 = None
     if criterion == "cis":
         train2 = model.sample(rng_aux, spec.n_train)
-        test_block2 = NeighborBlock.query(build_index(train2, spec.metric), X_test, kmax)
+        block2 = NeighborBlock.query(build_index(train2, spec.metric), X_test, kmax)
 
     corr = spec.corruption
-    eval_block_shared = None
-    if corr is not None and corr.omega > 0.0:
+    corrupted = corr is not None and corr.omega > 0.0
+    white_box = corrupted and corr.kind is CorruptionKind.WHITE_BOX
+    if corrupted:
         if criterion != "regret":
             raise TaskMismatch("corruption experiments are defined for the regret criterion")
-        if corr.kind is CorruptionKind.RANDOM:
-            X_eval = _corrupt_batch(X_test, eta_test, corr, rng_corrupt, None)
-            eval_block_shared = NeighborBlock.query(index, X_eval, kmax)
-        elif corr.kind is CorruptionKind.BLACK_BOX:
-            # Independent draw, gamma = 0, k as tuned for the clean machine:
-            # the adversary trains its own plain k-NN.
-            surr_train = model.sample(rng_aux, spec.n_train)
-            surrogate = fit(surr_train, EstimatorConfig(k=ks[0], gamma=0.0, metric=spec.metric))
+        if not white_box:
+            surrogate = None
+            if corr.kind is CorruptionKind.BLACK_BOX:
+                # Independent draw, gamma = 0, k as tuned for the clean
+                # machine: the adversary trains its own plain k-NN.
+                surr_train = model.sample(rng_aux, spec.n_train)
+                surrogate = fit(surr_train, EstimatorConfig(k=ks[0], gamma=0.0, metric=spec.metric))
             X_eval = _corrupt_batch(X_test, eta_test, corr, rng_corrupt, surrogate)
-            eval_block_shared = NeighborBlock.query(index, X_eval, kmax)
+            block = NeighborBlock.query(index, X_eval, kmax)
 
     crit = np.empty(len(gammas))
     for i, (g, k) in enumerate(zip(gammas, ks)):
         g = float(g)
+        if white_box:
+            # The target changes with (k, gamma); share the clean machine's
+            # tree, and give each gamma its own fixed stream.
+            cfg = EstimatorConfig(k=k, gamma=g, metric=spec.metric)
+            target = FittedEstimator(dataset=train, config=cfg, index=index)
+            rng_wb = np.random.default_rng(np.random.SeedSequence((spec.master_seed, rep, 7, i)))
+            X_eval = _corrupt_batch(X_test, eta_test, corr, rng_wb, target=target)
+            block = NeighborBlock.query(index, X_eval, kmax)
+        scores = block.scores((k,), g)[0]
         if criterion == "cis":
-            labels1 = test_block.scores((k,), g)[0] > 0.5
-            labels2 = test_block2.scores((k,), g)[0] > 0.5
-            crit[i] = float(np.mean(labels1 != labels2))
-            continue
-        if corr is not None and corr.omega > 0.0:
-            if corr.kind is CorruptionKind.WHITE_BOX:
-                # The target changes with (k, gamma); share the clean
-                # machine's tree, and give each gamma its own fixed stream.
-                cfg = EstimatorConfig(k=k, gamma=g, metric=spec.metric)
-                target = FittedEstimator(dataset=train, config=cfg, index=index)
-                rng_wb = np.random.default_rng(
-                    np.random.SeedSequence((spec.master_seed, rep, 7, i))
-                )
-                X_eval = _corrupt_batch(X_test, eta_test, corr, rng_wb, target)
-                eval_block = NeighborBlock.query(index, X_eval, kmax)
-            else:
-                eval_block = eval_block_shared
-            scores = eval_block.scores((k,), g)[0]
-            crit[i] = _criterion_value_from_labels(scores > 0.5, eta_test, g_test)
+            crit[i] = disagreement_rate(scores > 0.5, block2.scores((k,), g)[0] > 0.5)
         else:
-            scores = test_block.scores((k,), g)[0]
-            if criterion == "mse":
-                crit[i] = float(np.mean((scores - eta_test) ** 2))
-            else:
-                crit[i] = _criterion_value_from_labels(scores > 0.5, eta_test, g_test)
+            crit[i] = test_loss(scores)
 
     ratio = crit / crit[0]
     return {"k": np.asarray(ks, dtype=np.float64), "crit": crit, "ratio": ratio}

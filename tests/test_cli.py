@@ -4,9 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from interpnn import Dataset, Metric, Task
 from interpnn import cli
 from interpnn.cli import main
+from interpnn.ingest import split
+from interpnn.neighbors import brute_force_query
 from interpnn.theory import pr_same_k
+from interpnn.weighting import power_scores
 
 DATA = Path(__file__).parent / "data"
 
@@ -164,6 +168,13 @@ class TestToyCommand:
                 if x == int(x):
                     assert float(r["eta_hat"]) == pytest.approx(x * x, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["toy", "theory"])
+    def test_paper_scale_is_not_a_flag(self, tmp_path, command):
+        # neither command has repetitions for --paper-scale to set
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out", tmp_path, "--paper-scale"])
+        assert exc.value.code == 2
+
     def test_mse_and_bias_orderings(self, tmp_path):
         out = tmp_path / "o"
         assert run(["toy", "--out", out, "--seed", 5]) == 0
@@ -276,6 +287,38 @@ class TestRealCommand:
         assert run(["real", "--config", cfg, "--out", tmp_path / "o"]) == 0
         err = capsys.readouterr().err
         assert err.count("advisory:") == 1 and "gamma = 1.2 >= d/3 = 1" in err
+
+    def test_duplicated_lattice_matches_full_scan(self, tmp_path):
+        # Every 5x5 lattice point twice: neighbour distances tie in every
+        # row, and small test sets tie the error across k.
+        base = np.array([[i, j] for i in range(5) for j in range(5)], dtype=float)
+        points = np.vstack([base, base])
+        labels = ((points.sum(axis=1) + np.arange(50) % 3) > 5).astype(float)
+        p = tmp_path / "lattice.csv"
+        p.write_text("a,b,y\n" + "".join(f"{a:g},{b:g},{int(y)}\n" for (a, b), y in zip(points, labels)))
+        grid, fracs, repeats = (1, 2, 3, 5, 9, 17), (0.0, 0.2, 0.4), 3
+        cfg = self.real_cfg(tmp_path, csv=p, feature_columns="a,b", label_column="y", binarize="none",
+                            train_fraction="0.5", repeats=repeats, gamma_over_d="0.2,0.4",
+                            k_grid="17,1,2,3,5,9", seed=4)
+        out = tmp_path / "o"
+        assert run(["real", "--config", cfg, "--out", out]) == 0
+        _, rows = read_rows(out / "real.csv")
+
+        data = Dataset(points=points, responses=labels, task=Task.CLASSIFICATION)
+        best_k = np.empty((repeats, len(fracs)))
+        best_err = np.empty((repeats, len(fracs)))
+        for r in range(repeats):
+            train, test = split(data, 0.5, 4 + r)
+            hits = [brute_force_query(train, Metric(2.0), x, grid[-1]) for x in test.points]
+            dist = np.array([h.distances for h in hits])
+            resp = train.responses[np.array([h.indices for h in hits])]
+            for j, f in enumerate(fracs):
+                errs = [np.mean((s > 0.5) != (test.responses == 1.0)) for s in power_scores(dist, resp, grid, 2 * f)]
+                first = min(range(len(grid)), key=lambda i: (errs[i], i))
+                best_k[r, j], best_err[r, j] = grid[first], errs[first]
+        assert [float(row["gamma_over_d"]) for row in rows] == list(fracs)
+        assert [float(row["k_best"]) for row in rows] == list(best_k.mean(axis=0))
+        assert [float(row["test_error_mean"]) for row in rows] == list(best_err.mean(axis=0))
 
     def test_missing_file_is_data_error(self, tmp_path):
         cfg = self.real_cfg(tmp_path, csv=tmp_path / "missing.csv")

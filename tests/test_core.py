@@ -13,6 +13,7 @@ from interpnn import (
     Task,
     validate_config,
 )
+from interpnn.core import theory_advisory
 
 
 def make_dataset(n=8, d=2, task=Task.REGRESSION, seed=0):
@@ -72,14 +73,17 @@ class TestMetric:
 class TestValidateConfig:
     def test_valid_no_advisory(self):
         ds = make_dataset(2048, 2)
-        cfg = validate_config(EstimatorConfig(k=10, gamma=0.0), ds)
-        assert cfg.advisory is None
+        cfg = EstimatorConfig(k=10, gamma=0.0)
+        assert validate_config(cfg, ds) is cfg
+        assert theory_advisory(0.0, 2) is None
 
     def test_advisory_outside_theory_range(self):
-        # gamma = 0.7 >= 2/3 on d = 2
+        # gamma = 0.7 >= 2/3 on d = 2: still a valid config
         ds = make_dataset(100, 2)
-        cfg = validate_config(EstimatorConfig(k=10, gamma=0.7), ds)
-        assert cfg.advisory is not None and "d/3" in cfg.advisory
+        cfg = EstimatorConfig(k=10, gamma=0.7)
+        assert validate_config(cfg, ds) is cfg
+        msg = theory_advisory(0.7, 2)
+        assert msg is not None and "d/3" in msg
 
     def test_k_too_large(self):
         ds = make_dataset(2048, 2)

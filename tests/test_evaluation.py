@@ -175,12 +175,13 @@ class TestTuneK:
             X_tune = m.sample(rng, 4096).points
             eta = m.eta(X_tune)
             from interpnn.core import Metric
-            from interpnn.evaluation import NeighborBlock, _tune
+            from interpnn.evaluation import NeighborBlock
             from interpnn.neighbors import build_index
 
             block = NeighborBlock.query(build_index(train, Metric(2.0)), X_tune, grid[-1])
-            k0 = _tune(block, eta, 0.0, grid, Task.REGRESSION)
-            kg = _tune(block, eta, 0.6, grid, Task.REGRESSION)
+            mse = lambda scores: float(np.mean((scores - eta) ** 2))
+            k0, _ = block.tune(grid, 0.0, mse)
+            kg, _ = block.tune(grid, 0.6, mse)
             wins += kg > k0
             ties += kg == k0
         assert wins + ties >= 14
@@ -240,6 +241,25 @@ class TestNeighborBlock:
             for k, row in zip(self.GRID, rows):
                 assert np.array_equal(row, block.scores((k,), gamma)[0])
                 assert np.array_equal(row, score_batch(fit(ds, EstimatorConfig(k=k, gamma=gamma)), X))
+
+    def test_tune_takes_first_k_on_ties(self, rng):
+        ds = Dataset(points=rng.uniform(-1, 1, (300, 2)), responses=rng.normal(size=300), task=Task.REGRESSION)
+        block = NeighborBlock.query(build_index(ds, Metric(2.0)), rng.uniform(-1, 1, (50, 2)), max(self.GRID))
+        losses = iter([3.0, 1.0, 2.0, 1.0, 5.0, 1.0, 4.0])
+        assert block.tune(self.GRID, 0.4, lambda scores: next(losses)) == (2, 1.0)
+        # equal scores at every k: every loss ties, so the first k wins
+        flat = NeighborBlock(distances=block.distances, responses=np.ones_like(block.responses))
+        assert flat.tune(self.GRID, 0.4, lambda scores: float(np.mean(scores)))[0] == self.GRID[0]
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.9])
+    def test_tune_value_is_loss_at_k(self, rng, gamma):
+        ds = Dataset(points=rng.uniform(-1, 1, (300, 2)), responses=rng.normal(size=300), task=Task.REGRESSION)
+        X = rng.uniform(-1, 1, (80, 2))
+        block = NeighborBlock.query(build_index(ds, Metric(2.0)), X, max(self.GRID))
+        mse = lambda scores: float(np.mean((scores - X[:, 0]) ** 2))
+        k, val = block.tune(self.GRID, gamma, mse)
+        assert val == mse(block.scores((k,), gamma)[0])
+        assert val == min(mse(row) for row in block.scores(self.GRID, gamma))
 
     @pytest.mark.parametrize("ks", [(3, 6), (0, 3)])
     def test_k_outside_block_rejected(self, rng, ks):
@@ -392,7 +412,8 @@ class TestCorrupt:
         for i, x in enumerate(base[::5]):
             eta_x = 0.3 if i % 2 else 0.7
             ctx = CorruptionContext(rng=np.random.default_rng(i), eta_x=eta_x, surrogate=est, target=est)
-            want = _corrupt_batch(x[None, :], np.array([eta_x]), spec, np.random.default_rng(i), est)[0]
+            want = _corrupt_batch(x[None, :], np.array([eta_x]), spec, np.random.default_rng(i),
+                                  surrogate=est, target=est)[0]
             assert np.array_equal(corrupt(x, spec, ctx), want)
 
     def test_black_box_moves_score_adversarially(self):

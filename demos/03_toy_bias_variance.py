@@ -25,7 +25,7 @@ for mi, model in enumerate(toy_models(), start=1):
     print(f"\n=== toy model {mi} ({model.name})")
     series = [Series(x_eval[:, 0], eta, label="true eta", markers=False)]
     for name in SCHEMES:
-        est = fit(train, EstimatorConfig(k=10, gamma=1.0, scheme=phi_catalog(name)))
+        est = fit(train, EstimatorConfig(k=10, scheme=phi_catalog(name)))
         pred = predict_regression_batch(est, x_eval)
         mse = float(np.mean((pred - eta) ** 2))
         print(f"  {name:14s} MSE vs true eta on the interior: {mse:10.4f}")

@@ -22,7 +22,6 @@ from .core import (
     MissingContext,
     NegativeGamma,
     NonNumericFeature,
-    NumericOverflow,
     ParseError,
     QuadratureFailure,
     Task,

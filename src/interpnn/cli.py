@@ -381,7 +381,7 @@ def cmd_toy(cfg: dict) -> int:
         plots[mi] = [Series(x_eval, eta_true, label="true", markers=False)]
         for name in _TOY_SCHEMES:
             scheme = phi_catalog(name, gamma=1.0)
-            est = fit(train, EstimatorConfig(k=k, gamma=1.0, scheme=scheme))
+            est = fit(train, EstimatorConfig(k=k, scheme=scheme))
             eta_hat = predict_regression_batch(est, X_eval)
             rows += [
                 (mi, name, x_eval[j], eta_true[j], eta_hat[j])

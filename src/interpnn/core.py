@@ -41,10 +41,6 @@ class UnknownScheme(InterpNNError):
     pass
 
 
-class NumericOverflow(InterpNNError):
-    pass
-
-
 class DomainError(InterpNNError):
     """Closed-form expression evaluated at or past a pole."""
 

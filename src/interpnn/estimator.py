@@ -55,7 +55,7 @@ def score_batch(est: FittedEstimator, X) -> np.ndarray:
     schemes are the single-k case of power_scores."""
     scheme = est.scheme
     idx, dist, rk1 = query_batch(est.index, X, est.config.k)
-    if scheme.kind == "general":
+    if scheme.phi is not None:
         w = compute_weights_batch(dist, rk1, scheme)
         return np.sum(w * est.dataset.responses[idx], axis=1)
     return power_scores(dist, est.dataset.responses[idx], (est.config.k,), scheme.gamma)[0]

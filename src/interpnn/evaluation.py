@@ -213,7 +213,14 @@ class CorruptionKind(Enum):
 class CorruptionSpec:
     """Corruption inside an L2 ball of radius omega; attacks search over
     candidate_budget uniform ball samples (plus x itself, plus exactly
-    projected opposite-label training points for the white box)."""
+    projected opposite-label training points for the white box).
+
+    Tie rule: among candidates whose scores tie exactly at the adversarial
+    best, the first wins, and x itself is candidate 0. So an attack whose
+    candidates all score the same leaves x where it is; the white box
+    still moves to an opposite-label training point that scores at least
+    as well.
+    """
 
     kind: CorruptionKind
     omega: float
@@ -249,7 +256,8 @@ def _ball_samples(rng: np.random.Generator, m: int, budget: int, d: int, omega: 
 
 def _signed_pick(scores: np.ndarray, sgn: np.ndarray) -> np.ndarray:
     """Row index of the adversarially best candidate: argmax of score when
-    pushing toward label 1 (sgn=+1), argmin when pushing toward 0."""
+    pushing toward label 1 (sgn=+1), argmin when pushing toward 0. Exact
+    ties go to the first candidate, x itself (see CorruptionSpec)."""
     return np.argmax(sgn[:, None] * scores, axis=1)
 
 

@@ -416,6 +416,19 @@ class TestCorrupt:
                                   surrogate=est, target=est)[0]
             assert np.array_equal(corrupt(x, spec, ctx), want)
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_black_box_all_candidates_tied_keeps_x(self, label):
+        # one-label training data: the k-NN surrogate scores every
+        # candidate exactly the same, and the tie goes to x itself
+        ds = Dataset(points=self.rng.normal(size=(64, 2)), responses=np.full(64, label),
+                     task=Task.CLASSIFICATION)
+        surr = fit(ds, EstimatorConfig(k=7, gamma=0.0))
+        X = self.rng.normal(size=(40, 2))
+        eta = np.linspace(0.05, 0.95, 40)
+        spec = CorruptionSpec(kind=CorruptionKind.BLACK_BOX, omega=0.3, candidate_budget=16)
+        out = _corrupt_batch(X, eta, spec, np.random.default_rng(5), surrogate=surr)
+        assert np.array_equal(out, X)
+
     def test_black_box_moves_score_adversarially(self):
         surr = fit(self.model.sample(np.random.default_rng(8), 128), EstimatorConfig(k=8, gamma=0.0))
         spec = CorruptionSpec(kind=CorruptionKind.BLACK_BOX, omega=0.4, candidate_budget=32)

@@ -14,6 +14,7 @@ from interpnn import (
     uniform_scheme,
 )
 from interpnn.neighbors import NeighborQueryResult
+from interpnn.weighting import power_scores
 
 
 def nq(distances, r_kplus1):
@@ -152,3 +153,17 @@ class TestProperties:
             compute_weights_batch(dist, rk1, uniform_scheme()),
             compute_weights_batch(dist, rk1, power_scheme(0.0)),
         )
+
+
+class TestPowerScores:
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 50.0])
+    def test_scale_invariance_exact_for_power_of_two(self, rng, gamma):
+        # continuous rows, rows with one zero distance and rows with two
+        dist = np.sort(rng.uniform(0.1, 1.0, (300, 12)), axis=1)
+        dist[1::3, 0] = 0.0
+        dist[2::3, :2] = 0.0
+        y = rng.normal(size=dist.shape)
+        ks = np.arange(1, 13)
+        base = power_scores(dist, y, ks, gamma)
+        for c in (0.5, 2.0, 8.0):
+            assert np.array_equal(power_scores(c * dist, y, ks, gamma), base)
